@@ -23,7 +23,6 @@ from repro.arch.registry import (
     PAGE_TABLE_KINDS,
     PLUGINS_ENV,
     PWB_POLICIES,
-    REPLACEMENT_POLICIES,
     WALK_BACKENDS,
     ComponentRegistry,
     UnknownComponentError,
@@ -47,7 +46,6 @@ __all__ = [
     "PAGE_TABLE_KINDS",
     "PLUGINS_ENV",
     "PWB_POLICIES",
-    "REPLACEMENT_POLICIES",
     "WALK_BACKENDS",
     "ComponentRegistry",
     "UnknownComponentError",

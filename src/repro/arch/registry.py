@@ -1,9 +1,9 @@
 """String-keyed component registries: the machine's extension points.
 
 Every interchangeable piece of the simulated machine — walk backends,
-TLB/cache replacement policies, PWB dequeue policies, Request
-Distributor policies, page-table kinds — is resolved by *name* through
-a :class:`ComponentRegistry` here instead of an if/else chain at the
+PWB dequeue policies, Request Distributor policies, page-table kinds,
+event engines — is resolved by *name* through a
+:class:`ComponentRegistry` here instead of an if/else chain at the
 assembly site.  Config validation delegates to the same registries, so
 the set of legal names in a :class:`~repro.config.GPUConfig` and the
 set of buildable components can never drift apart, and registering a
@@ -172,10 +172,6 @@ class ComponentRegistry(Generic[T]):
 #: /``register_metrics`` (see docs/architecture.md for the contract).
 WALK_BACKENDS: ComponentRegistry = ComponentRegistry("walk backend")
 
-#: TLB / cache replacement policies: ``factory()`` returning a
-#: :class:`~repro.memory.replacement.ReplacementPolicy`.
-REPLACEMENT_POLICIES: ComponentRegistry = ComponentRegistry("replacement policy")
-
 #: PWB dequeue policies: ``factory()`` returning a
 #: :class:`~repro.ptw.subsystem.PwbPolicy`.
 PWB_POLICIES: ComponentRegistry = ComponentRegistry("PWB policy")
@@ -197,7 +193,6 @@ EVENT_ENGINES: ComponentRegistry = ComponentRegistry("event engine")
 
 ALL_REGISTRIES: dict[str, ComponentRegistry] = {
     "walk_backend": WALK_BACKENDS,
-    "replacement_policy": REPLACEMENT_POLICIES,
     "pwb_policy": PWB_POLICIES,
     "distributor_policy": DISTRIBUTOR_POLICIES,
     "page_table_kind": PAGE_TABLE_KINDS,
@@ -259,22 +254,6 @@ def _build_hybrid_backend(ctx):
 WALK_BACKENDS.register("hardware", _build_hardware_backend)
 WALK_BACKENDS.register("softwalker", _build_softwalker_backend)
 WALK_BACKENDS.register("hybrid", _build_hybrid_backend)
-
-
-def _build_lru_policy():
-    from repro.memory.replacement import LRUPolicy
-
-    return LRUPolicy()
-
-
-def _build_fifo_policy():
-    from repro.memory.replacement import FIFOPolicy
-
-    return FIFOPolicy()
-
-
-REPLACEMENT_POLICIES.register("lru", _build_lru_policy)
-REPLACEMENT_POLICIES.register("fifo", _build_fifo_policy)
 
 
 def _build_fcfs_policy():

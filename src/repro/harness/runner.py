@@ -30,6 +30,7 @@ Environment knobs (all read by the default instance):
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -273,6 +274,12 @@ class Runner:
         )
         if env_obs is not None:
             _export_env_trace(env_obs, workload.spec.abbr)
+        # A finished GPUSimulator is a reference cycle, so only the cyclic
+        # GC frees it, and the machine allocates too few containers to
+        # trigger a collection by itself: without this, finished machines
+        # pile up across the runs of one sweep worker.
+        del sim
+        gc.collect()
         return result
 
     def run_cached(

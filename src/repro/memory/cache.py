@@ -8,12 +8,20 @@ access for misses.  Page-table entries are cached here (and only here,
 following the paper's footnote 2), so page-walk cost is priced by real
 cache behaviour.
 
+State layout
+============
 ``access`` is the single hottest component method in ``repro profile``
-runs, so the hot path hoists everything it can: the per-instance
-counter-name strings are precomputed, counters are bumped through the
-raw :meth:`~repro.sim.stats.Counter.live` mapping, and the victim way
-is resolved back to its tag through a per-set ``_tag_of`` array instead
-of a reverse scan over the tag->way dict.
+runs, so all state is flat per-slot arrays indexed by
+``slot = set_index * ways + way``:
+
+* ``_slot_of`` — one dict mapping a resident line address to its slot.
+* ``_line_of`` — slot -> line address (``-1`` when the way is empty).
+* ``_ready`` — slot -> ``{sector: cycle its data is (or will be)
+  valid}`` of the resident line.
+* ``_used`` — per-slot LRU state: the last-use tick of a resident line,
+  ``-1`` for an empty way.  Every access draws a fresh tick, so ticks
+  are unique and a set's victim is its argmin: an empty way first, else
+  the least recently used line.
 """
 
 from __future__ import annotations
@@ -22,19 +30,7 @@ import heapq
 
 from repro.config import CacheConfig
 from repro.memory.dram import DRAM
-from repro.memory.replacement import make_policy
 from repro.sim.stats import StatsRegistry
-
-
-class _Line:
-    """One resident cache line: per-sector fill times."""
-
-    __slots__ = ("tag", "sector_ready")
-
-    def __init__(self, tag: int) -> None:
-        self.tag = tag
-        #: sector index -> cycle at which its data is (or will be) valid.
-        self.sector_ready: dict[int, int] = {}
 
 
 class SectoredCache:
@@ -52,26 +48,18 @@ class SectoredCache:
         stats: StatsRegistry,
         *,
         name: str = "l2d",
-        replacement_policy: str = "lru",
     ) -> None:
         self.config = config
         self.next_level = next_level
         self.stats = stats
         self.name = name
         self._num_sets = config.num_sets
-        self._sets: list[dict[int, _Line]] = [{} for _ in range(self._num_sets)]
-        self._policies = [
-            make_policy(replacement_policy) for _ in range(self._num_sets)
-        ]
-        self._way_of: list[dict[int, int]] = [{} for _ in range(self._num_sets)]
-        #: way -> resident tag per set (None when free): victim
-        #: resolution without a reverse dict scan.
-        self._tag_of: list[list[int | None]] = [
-            [None] * config.associativity for _ in range(self._num_sets)
-        ]
-        self._free_ways: list[list[int]] = [
-            list(range(config.associativity)) for _ in range(self._num_sets)
-        ]
+        self._ways = config.associativity
+        num_slots = self._num_sets * self._ways
+        self._slot_of: dict[int, int] = {}
+        self._line_of: list[int] = [-1] * num_slots
+        self._ready: list[dict[int, int] | None] = [None] * num_slots
+        self._used: list[int] = [-1] * num_slots
         self._tick = 0
         #: Min-heap of outstanding miss completion times (MSHR occupancy).
         self._outstanding: list[int] = []
@@ -85,14 +73,6 @@ class SectoredCache:
         self._c_evictions = f"{name}.evictions"
 
     # ------------------------------------------------------------------
-    # Address helpers
-    # ------------------------------------------------------------------
-    def _split(self, address: int) -> tuple[int, int, int]:
-        line_addr = address // self.config.line_bytes
-        sector = (address % self.config.line_bytes) // self.config.sector_bytes
-        return line_addr % self._num_sets, line_addr // self._num_sets, sector
-
-    # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
     def access(self, address: int, now: int) -> tuple[int, bool]:
@@ -104,20 +84,17 @@ class SectoredCache:
         config = self.config
         line_bytes = config.line_bytes
         line_addr = address // line_bytes
-        set_index = line_addr % self._num_sets
-        tag = line_addr // self._num_sets
         sector = (address % line_bytes) // config.sector_bytes
         self._tick += 1
         lookup_done = now + config.latency
-        cache_set = self._sets[set_index]
         counts = self._counts
         counts[self._c_accesses] += 1
 
-        line = cache_set.get(tag)
-        if line is not None:
-            way = self._way_of[set_index][tag]
-            self._policies[set_index].touch(way, self._tick)
-            ready = line.sector_ready.get(sector)
+        slot = self._slot_of.get(line_addr)
+        if slot is not None:
+            self._used[slot] = self._tick
+            sector_ready = self._ready[slot]
+            ready = sector_ready.get(sector)
             if ready is not None:
                 if ready > lookup_done:
                     counts[self._c_merges] += 1
@@ -126,14 +103,14 @@ class SectoredCache:
                 return lookup_done, True
             # Line resident but sector absent: sector miss.
             completion = self._fetch(address, lookup_done)
-            line.sector_ready[sector] = completion
+            sector_ready[sector] = completion
             counts[self._c_sector_misses] += 1
             return completion, False
 
         # Full line miss: allocate a way.
-        line = self._allocate(set_index, tag)
+        slot = self._allocate(line_addr)
         completion = self._fetch(address, lookup_done)
-        line.sector_ready[sector] = completion
+        self._ready[slot] = {sector: completion}
         counts[self._c_misses] += 1
         return completion, False
 
@@ -150,29 +127,19 @@ class SectoredCache:
         heapq.heappush(outstanding, completion)
         return completion
 
-    def _allocate(self, set_index: int, tag: int) -> _Line:
-        cache_set = self._sets[set_index]
-        policy = self._policies[set_index]
-        free = self._free_ways[set_index]
-        tag_of = self._tag_of[set_index]
-        if free:
-            way = free.pop()
-        else:
-            # Free list empty: every way is resident, so candidates are
-            # all ways in way order (built-in policies are
-            # candidate-order-independent — ticks are unique).
-            way = policy.victim(list(range(self.config.associativity)))
-            victim_tag = tag_of[way]
-            del cache_set[victim_tag]
-            del self._way_of[set_index][victim_tag]
-            policy.forget(way)
+    def _allocate(self, line_addr: int) -> int:
+        """Claim an empty or LRU victim slot for ``line_addr``."""
+        used = self._used
+        base = (line_addr % self._num_sets) * self._ways
+        oldest = min(used[base:base + self._ways])
+        slot = used.index(oldest, base)
+        if oldest >= 0:
+            del self._slot_of[self._line_of[slot]]
             self._counts[self._c_evictions] += 1
-        line = _Line(tag)
-        cache_set[tag] = line
-        self._way_of[set_index][tag] = way
-        tag_of[way] = tag
-        policy.touch(way, self._tick)
-        return line
+        self._slot_of[line_addr] = slot
+        self._line_of[slot] = line_addr
+        used[slot] = self._tick
+        return slot
 
     # ------------------------------------------------------------------
     # Introspection
@@ -188,4 +155,4 @@ class SectoredCache:
         return misses / accesses
 
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._slot_of)

@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from repro.config import TLBConfig
 from repro.sim.stats import StatsRegistry
-from repro.tlb.tlb import TLB
+from repro.tlb.tlb import _PENDING, TLB
 
 #: Keys >= this are block entries; raw VPNs (< 2^33) stay below it.
 _BLOCK_KEY_BASE = 1 << 40
@@ -71,11 +71,10 @@ class CoalescedTLB(TLB):
         offset = vpn % self.span
         if (
             slot is not None
-            and not self._pend[slot]
+            and self._used[slot] != _PENDING
             and (self._waiters[slot] >> offset) & 1
         ):
-            set_index, way = divmod(slot, self._ways)
-            self._policies[set_index].touch(way, self._tick)
+            self._used[slot] = self._tick
             counts[self._c_hits] += 1
             return self._pfn[slot] + offset
         counts[self._c_misses] += 1
@@ -92,10 +91,9 @@ class CoalescedTLB(TLB):
         counts = self._counts
         waiters: list[Any] = []
         slot = self._map.get(vpn)
-        if slot is not None and self._pend[slot]:
+        if slot is not None and self._used[slot] == _PENDING:
             waiters = self._waiters[slot]
             self._waiters[slot] = None
-            self._pend[slot] = 0
             self._pending_count -= 1
             counts[self._c_pending_resolved] += 1
             self._evict_slot(slot)
@@ -114,14 +112,13 @@ class CoalescedTLB(TLB):
             counts[self._c_coalesced_fills] += 1
 
         key = self._block_key(vpn)
-        set_index = self.set_index(key)
         slot = self._map.get(key)
-        if slot is not None and not self._pend[slot]:
+        if slot is not None and self._used[slot] != _PENDING:
             self._pfn[slot] = base_pfn
             self._waiters[slot] = mask | self._waiters[slot]
-            self._policies[set_index].touch(slot - set_index * self._ways, self._tick)
+            self._used[slot] = self._tick
             return waiters
-        slot = self._take_slot(set_index)
+        slot = self._take_slot(self.set_index(key))
         if slot is None:
             counts[self._c_fill_dropped] += 1
             return waiters
@@ -138,7 +135,7 @@ class CoalescedTLB(TLB):
     def invalidate(self, vpn: int) -> bool:
         """Shootdown: clear the page's bit; drop the entry when empty."""
         slot = self._map.get(self._block_key(vpn))
-        if slot is None or self._pend[slot]:
+        if slot is None or self._used[slot] == _PENDING:
             return False
         offset = vpn % self.span
         mask = self._waiters[slot]
@@ -152,10 +149,10 @@ class CoalescedTLB(TLB):
 
     def coverage(self) -> int:
         """Total pages currently translatable (reach, in pages)."""
-        pend = self._pend
+        used = self._used
         masks = self._waiters
         return sum(
             masks[slot].bit_count()
             for slot in self._map.values()
-            if not pend[slot]
+            if used[slot] != _PENDING
         )

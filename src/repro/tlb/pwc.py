@@ -5,11 +5,17 @@ keyed by ``(level, table_tag)``.  Probing for a VPN returns the deepest
 cached node along its walk path so the walk starts there; the root is
 always known (it lives in the per-process page-table base register), so
 a cold probe simply starts at the root level.
+
+The cache is flat per-slot arrays over its ``entries`` ways: ``_slot_of``
+maps a key to its slot, ``_key_of`` / ``_base`` hold each slot's key and
+node base, and ``_used`` is the LRU state — the last-use tick of an
+occupied slot, ``-1`` for an empty one.  Ticks are unique per cache, so
+the fill victim is the argmin of ``_used``: an empty slot first, else
+the least recently used entry.
 """
 
 from __future__ import annotations
 
-from repro.memory.replacement import make_policy
 from repro.pagetable.address import AddressLayout
 from repro.sim.stats import StatsRegistry
 
@@ -33,7 +39,6 @@ class PageWalkCache:
         *,
         name: str = "pwc",
         min_level: int = 2,
-        replacement_policy: str = "lru",
     ) -> None:
         if entries < 0:
             raise ValueError("PWC size cannot be negative")
@@ -45,13 +50,10 @@ class PageWalkCache:
         self.stats = stats
         self.name = name
         self.min_level = min_level
-        self._entries: dict[tuple[int, int], int] = {}
-        self._policy = make_policy(replacement_policy)
-        self._way_of: dict[tuple[int, int], int] = {}
-        #: way -> key (None when free): resolves a victim way without
-        #: the reverse scan over ``_way_of``.
+        self._slot_of: dict[tuple[int, int], int] = {}
         self._key_of: list[tuple[int, int] | None] = [None] * entries
-        self._free = list(range(entries))
+        self._base: list[int] = [0] * entries
+        self._used: list[int] = [-1] * entries
         self._tick = 0
         self._counts = stats.counters.live()
         self._c_probes = f"{name}.probes"
@@ -70,14 +72,13 @@ class PageWalkCache:
         counts = self._counts
         counts[self._c_probes] += 1
         table_tag = self.layout.table_tag
-        entries = self._entries
+        slot_of = self._slot_of
         for level in range(self.min_level, self.layout.levels):
-            key = (level, table_tag(vpn, level))
-            base = entries.get(key)
-            if base is not None:
-                self._policy.touch(self._way_of[key], self._tick)
+            slot = slot_of.get((level, table_tag(vpn, level)))
+            if slot is not None:
+                self._used[slot] = self._tick
                 counts[self._c_hits] += 1
-                return level, base
+                return level, self._base[slot]
         counts[self._c_root_fallbacks] += 1
         return self.layout.levels, self.root_base
 
@@ -87,27 +88,19 @@ class PageWalkCache:
             return
         self._tick += 1
         key = (level, self.layout.table_tag(vpn, level))
-        if key in self._entries:
-            self._entries[key] = node_base
-            self._policy.touch(self._way_of[key], self._tick)
-            return
-        if self._free:
-            way = self._free.pop()
-        else:
-            # Free list empty means every way is occupied: candidates
-            # are simply all ways, in way order (the built-in policies
-            # are candidate-order-independent — ticks are unique).
-            way = self._policy.victim(list(range(self.capacity)))
-            victim_key = self._key_of[way]
-            del self._entries[victim_key]
-            del self._way_of[victim_key]
-            self._policy.forget(way)
-            self._counts[self._c_evictions] += 1
-        self._entries[key] = node_base
-        self._way_of[key] = way
-        self._key_of[way] = key
-        self._policy.touch(way, self._tick)
-        self._counts[self._c_fills] += 1
+        slot = self._slot_of.get(key)
+        if slot is None:
+            used = self._used
+            oldest = min(used)
+            slot = used.index(oldest)
+            if oldest >= 0:
+                del self._slot_of[self._key_of[slot]]
+                self._counts[self._c_evictions] += 1
+            self._slot_of[key] = slot
+            self._key_of[slot] = key
+            self._counts[self._c_fills] += 1
+        self._base[slot] = node_base
+        self._used[slot] = self._tick
 
     def hit_rate(self) -> float:
         probes = self.stats.counters.get(self._c_probes)
@@ -117,7 +110,7 @@ class PageWalkCache:
 
     @property
     def occupancy(self) -> int:
-        return len(self._entries)
+        return len(self._slot_of)
 
     def register_metrics(self, metrics) -> None:
         """Expose PWC effectiveness as sampled gauges."""

@@ -3,31 +3,27 @@
 Each way carries the paper's pending bit (Section 4.5): alongside
 ``invalid`` and ``valid`` states, a way can be repurposed as a
 temporary MSHR slot holding metadata for an outstanding miss.  Victim
-selection for both fills and pending allocations follows the TLB's
-replacement policy, restricted to non-pending ways — a pending entry
-must never be silently dropped, because waiters are parked on it.
+selection for both fills and pending allocations is LRU restricted to
+non-pending ways — a pending entry must never be silently dropped,
+because waiters are parked on it.
 
 State layout
 ============
-The TLB used to keep one ``dict[vpn, TLBEntry]`` per set plus a
-parallel ``dict[vpn, way]``; ``repro profile`` showed the per-set dict
-scans (victim candidate collection, reverse way->vpn lookup) as the
-hottest component code in the simulator.  The state is now *flattened
-parallel arrays* indexed by ``slot = set_index * ways + way``:
+All state is flat per-slot arrays indexed by
+``slot = set_index * ways + way``:
 
 * ``_map`` — one dict mapping key (vpn, or a block key in the
   coalesced subclass) to its slot; the only hashing on the hot path.
-* ``_key_of`` — slot -> key (``-1`` when the way is empty), killing the
-  reverse scan when a victim way must be resolved back to its key.
-* ``_pfn`` / ``_pend`` / ``_waiters`` — per-slot translation, pending
-  bit (a ``bytearray``), and parked-waiter list (``None`` when not
-  pending).
-
-Victim candidates are produced in way order (``0..ways-1``), not dict
-insertion order.  The built-in LRU/FIFO policies are order-independent
-(their per-way ticks are unique, so the minimum is unique); plugin
-replacement policies now see a *defined* candidate order, which the
-registry documents as part of the policy contract.
+* ``_key_of`` — slot -> key (``-1`` when the way is empty), so a victim
+  slot resolves back to its key without a scan.
+* ``_pfn`` / ``_waiters`` — per-slot translation and parked-waiter list
+  (``None`` when not pending).
+* ``_used`` — per-slot LRU state: the last-use tick of a valid way,
+  ``-1`` for an empty way, and ``_PENDING`` (above every tick) for a
+  pending way.  Each operation draws a fresh tick from the TLB-wide
+  counter, so ticks are unique and the victim of a set is its argmin:
+  an empty way first, else the least recently used valid way.  A set
+  whose minimum is ``_PENDING`` is all-pending and cannot take a fill.
 """
 
 from __future__ import annotations
@@ -35,8 +31,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.config import TLBConfig
-from repro.memory.replacement import make_policy
 from repro.sim.stats import StatsRegistry
+
+#: ``_used`` value of a pending way: above every tick, so the argmin
+#: victim search only lands on it when the whole set is pending.
+_PENDING = 1 << 62
 
 
 class TLB:
@@ -48,7 +47,6 @@ class TLB:
         stats: StatsRegistry,
         *,
         name: str,
-        replacement_policy: str = "lru",
     ) -> None:
         self.config = config
         self.stats = stats
@@ -62,16 +60,10 @@ class TLB:
         self._map: dict[int, int] = {}
         self._key_of: list[int] = [-1] * num_slots
         self._pfn: list[int] = [0] * num_slots
-        self._pend = bytearray(num_slots)
         #: Waiter list of a pending way (None otherwise); the coalesced
         #: subclass reuses the cell for a valid block's page bitmask.
         self._waiters: list[Any] = [None] * num_slots
-        self._free_ways: list[list[int]] = [
-            list(range(self._ways)) for _ in range(self._num_sets)
-        ]
-        self._policies = [
-            make_policy(replacement_policy) for _ in range(self._num_sets)
-        ]
+        self._used: list[int] = [-1] * num_slots
         self._tick = 0
         self._pending_count = 0
         # Hot-path accessors: the raw counter mapping plus precomputed
@@ -102,11 +94,10 @@ class TLB:
         counts = self._counts
         counts[self._c_lookups] += 1
         slot = self._map.get(vpn)
-        if slot is None or self._pend[slot]:
+        if slot is None or self._used[slot] == _PENDING:
             counts[self._c_misses] += 1
             return None
-        set_index, way = divmod(slot, self._ways)
-        self._policies[set_index].touch(way, self._tick)
+        self._used[slot] = self._tick
         counts[self._c_hits] += 1
         return self._pfn[slot]
 
@@ -117,7 +108,7 @@ class TLB:
         belong to :meth:`merge_pending`); callers only inspect it.
         """
         slot = self._map.get(vpn)
-        if slot is not None and self._pend[slot]:
+        if slot is not None and self._used[slot] == _PENDING:
             return self._waiters[slot]
         return None
 
@@ -135,15 +126,13 @@ class TLB:
         slot = self._map.get(vpn)
         if slot is not None:
             waiters: list[Any] = []
-            if self._pend[slot]:
+            if self._used[slot] == _PENDING:
                 waiters = self._waiters[slot]
                 self._waiters[slot] = None
-                self._pend[slot] = 0
                 self._pending_count -= 1
                 self._counts[self._c_pending_resolved] += 1
             self._pfn[slot] = pfn
-            set_index, way = divmod(slot, self._ways)
-            self._policies[set_index].touch(way, self._tick)
+            self._used[slot] = self._tick
             return waiters
 
         slot = self._take_slot(self.set_index(vpn))
@@ -156,7 +145,7 @@ class TLB:
     def invalidate(self, vpn: int) -> bool:
         """Drop a valid translation (TLB shootdown).  Pending ways stay."""
         slot = self._map.get(vpn)
-        if slot is None or self._pend[slot]:
+        if slot is None or self._used[slot] == _PENDING:
             return False
         self._evict_slot(slot)
         return True
@@ -172,7 +161,7 @@ class TLB:
         """
         self._tick += 1
         slot = self._map.get(vpn)
-        if slot is not None and self._pend[slot]:
+        if slot is not None and self._used[slot] == _PENDING:
             raise ValueError(f"vpn {vpn:#x} already pending; merge instead")
         if slot is not None:
             # A valid entry exists; caller should have hit.  Replace it.
@@ -181,7 +170,7 @@ class TLB:
         if slot is None:
             return False
         self._install(slot, vpn, 0)
-        self._pend[slot] = 1
+        self._used[slot] = _PENDING
         self._waiters[slot] = [waiter]
         self._pending_count += 1
         self._counts[self._c_pending_allocated] += 1
@@ -190,7 +179,7 @@ class TLB:
     def merge_pending(self, vpn: int, waiter: Any) -> bool:
         """Park another waiter on an existing pending entry."""
         slot = self._map.get(vpn)
-        if slot is None or not self._pend[slot]:
+        if slot is None or self._used[slot] != _PENDING:
             return False
         self._waiters[slot].append(waiter)
         self._counts[self._c_pending_merged] += 1
@@ -202,8 +191,8 @@ class TLB:
 
     def pending_vpns(self) -> list[int]:
         """VPNs of every in-TLB MSHR (pending) way (audit support)."""
-        pend = self._pend
-        return [key for key, slot in self._map.items() if pend[slot]]
+        used = self._used
+        return [key for key, slot in self._map.items() if used[slot] == _PENDING]
 
     def pending_waiter_count(self, vpn: int) -> int:
         """Waiters parked on ``vpn``'s pending way (0 if none)."""
@@ -214,34 +203,29 @@ class TLB:
     # Way management
     # ------------------------------------------------------------------
     def _take_slot(self, set_index: int) -> int | None:
-        """Claim a free or victim slot in ``set_index``; None when every
-        way is a pending MSHR slot."""
-        free = self._free_ways[set_index]
+        """Claim an empty or LRU victim slot in ``set_index``; None when
+        every way is a pending MSHR slot."""
+        used = self._used
         base = set_index * self._ways
-        if free:
-            return base + free.pop()
-        pend = self._pend
-        candidates = [way for way in range(self._ways) if not pend[base + way]]
-        if not candidates:
+        oldest = min(used[base:base + self._ways])
+        if oldest == _PENDING:
             return None
-        way = self._policies[set_index].victim(candidates)
-        self._evict_slot(base + way)
-        return base + free.pop()
+        slot = used.index(oldest, base)
+        if oldest >= 0:
+            self._evict_slot(slot)
+        return slot
 
     def _install(self, slot: int, key: int, pfn: int) -> None:
         self._map[key] = slot
         self._key_of[slot] = key
         self._pfn[slot] = pfn
-        set_index, way = divmod(slot, self._ways)
-        self._policies[set_index].touch(way, self._tick)
+        self._used[slot] = self._tick
 
     def _evict_slot(self, slot: int) -> None:
         del self._map[self._key_of[slot]]
         self._key_of[slot] = -1
         self._waiters[slot] = None
-        set_index, way = divmod(slot, self._ways)
-        self._policies[set_index].forget(way)
-        self._free_ways[set_index].append(way)
+        self._used[slot] = -1
         self._counts[self._c_evictions] += 1
 
     # ------------------------------------------------------------------

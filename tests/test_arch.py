@@ -16,7 +16,6 @@ from repro.arch import (
     PAGE_TABLE_KINDS,
     PLUGINS_ENV,
     PWB_POLICIES,
-    REPLACEMENT_POLICIES,
     WALK_BACKENDS,
     ComponentRegistry,
     MachineBuilder,
@@ -89,7 +88,6 @@ class TestComponentRegistry:
 class TestBuiltinRegistries:
     def test_builtin_names(self):
         assert set(WALK_BACKENDS) == {"hardware", "softwalker", "hybrid"}
-        assert set(REPLACEMENT_POLICIES) == {"lru", "fifo"}
         assert set(PWB_POLICIES) == {"fcfs", "sm_batch"}
         assert set(DISTRIBUTOR_POLICIES) == {
             "round_robin",
@@ -97,6 +95,15 @@ class TestBuiltinRegistries:
             "stall_aware",
         }
         assert set(PAGE_TABLE_KINDS) == {"radix", "hashed"}
+        # LRU replacement is built into the TLBs and caches, not a
+        # registry.
+        assert set(ALL_REGISTRIES) == {
+            "walk_backend",
+            "pwb_policy",
+            "distributor_policy",
+            "page_table_kind",
+            "event_engine",
+        }
 
     def test_catalogue_mirrors_registries(self):
         listing = catalogue()

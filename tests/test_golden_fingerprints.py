@@ -1,8 +1,9 @@
 """Golden-fingerprint regression tests.
 
 Pins :meth:`SimulationResult.fingerprint` for the three headline
-configurations (baseline, softwalker, hybrid) on two small workloads
-against stored golden files.  The machine is deterministic in its
+configurations (baseline, softwalker, hybrid) and three TLB variants
+(avatar, a coalesced L2 TLB, In-TLB MSHRs under hardware walkers) on
+two small workloads against stored golden files.  The machine is deterministic in its
 inputs, so any drift here means a refactor changed simulated behavior —
 the registry-driven assembly (``repro.arch``) is contractually
 event-for-event identical to the hand-wired construction these goldens
@@ -28,11 +29,25 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: spmv the classic irregular sparse kernel.
 SCALE = 0.05
 SEED = 7
-CASES = [
-    (config, bench)
-    for config in ("baseline", "softwalker", "hybrid")
-    for bench in ("dc", "spmv")
-]
+
+#: Golden case name -> configuration.  The three headline
+#: configurations, plus the TLB paths whose replacement state differs
+#: from theirs: Avatar speculation filling the L1 TLB, a coalesced L2
+#: TLB (block entries), and In-TLB MSHR pending ways under hardware
+#: walkers.
+CONFIGS = {
+    "baseline": lambda: DEFAULT_CONFIGS.get("baseline"),
+    "softwalker": lambda: DEFAULT_CONFIGS.get("softwalker"),
+    "hybrid": lambda: DEFAULT_CONFIGS.get("hybrid"),
+    "avatar": lambda: DEFAULT_CONFIGS.get("avatar"),
+    "softwalker_coalesced": lambda: DEFAULT_CONFIGS.get("softwalker").derive(
+        tlb_coalescing_span=8
+    ),
+    "baseline_in_tlb_mshr": lambda: DEFAULT_CONFIGS.get("baseline").derive(
+        hw_in_tlb_mshr=True
+    ),
+}
+CASES = [(config, bench) for config in CONFIGS for bench in ("dc", "spmv")]
 
 
 def golden_path(config_name: str, benchmark: str) -> Path:
@@ -41,7 +56,7 @@ def golden_path(config_name: str, benchmark: str) -> Path:
 
 def compute_fingerprint(config_name: str, benchmark: str) -> dict:
     result = Runner().run(
-        DEFAULT_CONFIGS.get(config_name), benchmark, scale=SCALE, seed=SEED
+        CONFIGS[config_name](), benchmark, scale=SCALE, seed=SEED
     )
     # Round-trip through JSON so tuples normalise to lists exactly as
     # they do in the stored golden files.

@@ -1,8 +1,11 @@
 """Tests for the runner and experiment harness (tiny scales)."""
 
+import gc
+
 import pytest
 
 from repro.config import baseline_config, softwalker_config
+from repro.gpu.gpu import GPUSimulator
 from repro.harness import experiments
 from repro.harness.runner import (
     build_workload,
@@ -62,6 +65,24 @@ class TestRunner:
         assert cell.key.config == "baseline"
         assert cell.seeds() == [1, 2]
         assert cell.median(METRICS["cycles"]) > 0
+
+    def test_run_frees_its_machine(self):
+        """A finished simulator is a reference cycle; ``run`` must free it
+        itself rather than leave it for a collection that may never come."""
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, GPUSimulator)]
+        gc.disable()
+        try:
+            default_runner().run(baseline_config(), "gemm", scale=TINY)
+            leaked = [
+                o
+                for o in gc.get_objects()
+                if isinstance(o, GPUSimulator)
+                and not any(o is old for old in before)
+            ]
+        finally:
+            gc.enable()
+        assert leaked == []
 
     def test_workload_respects_page_size(self):
         from repro.config import PAGE_SIZE_2M

@@ -6,7 +6,6 @@ from repro.config import CacheConfig, DRAMConfig, GPUConfig
 from repro.memory.cache import SectoredCache
 from repro.memory.dram import CHANNEL_INTERLEAVE_BYTES, DRAM
 from repro.memory.hierarchy import MemorySystem
-from repro.memory.replacement import FIFOPolicy, LRUPolicy, make_policy
 from repro.sim.stats import StatsRegistry
 
 
@@ -117,32 +116,6 @@ class TestSectoredCache:
         t, _ = cache.access(0, now=0)
         cache.access(0, now=t)
         assert cache.miss_rate() == pytest.approx(0.5)
-
-
-class TestReplacementPolicies:
-    def test_lru_victim(self):
-        p = LRUPolicy()
-        p.touch(0, 1)
-        p.touch(1, 2)
-        p.touch(0, 3)
-        assert p.victim([0, 1]) == 1
-
-    def test_fifo_victim_ignores_touches(self):
-        p = FIFOPolicy()
-        p.touch(0, 1)
-        p.touch(1, 2)
-        p.touch(0, 99)  # re-touch does not reset insertion order
-        assert p.victim([0, 1]) == 0
-
-    def test_factory(self):
-        assert isinstance(make_policy("lru"), LRUPolicy)
-        assert isinstance(make_policy("fifo"), FIFOPolicy)
-        with pytest.raises(ValueError):
-            make_policy("mru")
-
-    def test_victim_requires_candidates(self):
-        with pytest.raises(ValueError):
-            LRUPolicy().victim([])
 
 
 class TestMemorySystem:

@@ -41,8 +41,8 @@ from repro.harness.pool import matrix_points  # noqa: E402
 from repro.harness.runner import Runner, build_workload  # noqa: E402
 from repro.harness.store import fingerprint_digest  # noqa: E402
 
-#: The pinned golden matrix (kept in lockstep with
-#: tests/test_golden_fingerprints.py).
+#: The headline configurations of the pinned golden matrix in
+#: tests/test_golden_fingerprints.py.
 GOLDEN_CASES = [
     (config, bench)
     for config in ("baseline", "softwalker", "hybrid")
