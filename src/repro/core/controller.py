@@ -285,16 +285,9 @@ class SoftWalkerController:
         completion frees its SoftPWB slot and may launch the next walk
         before the following completion lands.
         """
-        softpwb_complete = self.softpwb.complete
-        sm_id = self.sm.sm_id
+        finish = self._finish
         for slot_index, request, outcome in batch:
-            softpwb_complete(slot_index)
-            self._active_walks -= 1
-            on_complete = self.on_complete
-            if on_complete is None:
-                raise RuntimeError("SoftWalkerController.on_complete not wired")
-            on_complete(sm_id, request, outcome)
-            self._maybe_launch()
+            finish(slot_index, request, outcome)
 
     @property
     def active_walks(self) -> int:

@@ -4,10 +4,13 @@ Lives beside the L2 TLB.  A per-core counter tracks how many requests
 are outstanding at each SM so walks are only dispatched to cores whose
 PW Warp has room (counter < SoftPWB capacity); when every core is full,
 requests wait in a global overflow queue and drain as FL2T completions
-decrement the counters.  Selection policies are
-:class:`SelectionPolicy` objects resolved by name through
-:data:`repro.arch.registry.DISTRIBUTOR_POLICIES` — the paper compares
-the built-in three in Figure 26 and adopts round-robin.
+decrement the counters; a count of full cores makes that test O(1).
+Selection policies are :class:`SelectionPolicy` objects resolved by
+name through :data:`repro.arch.registry.DISTRIBUTOR_POLICIES` — the
+paper compares the built-in three in Figure 26 and adopts round-robin,
+a cursor walk over the counters: the first core with room at or after
+the cursor, wrapping (the lowest ``(sm - cursor) % num_sms``), after
+which the cursor moves one past the pick.
 """
 
 from __future__ import annotations
@@ -25,19 +28,17 @@ from repro.sim.stats import StatsRegistry
 class SelectionPolicy:
     """Picks which available SM receives the next walk request.
 
-    Subclasses implement :meth:`select`; ``available`` is the non-empty
-    list of SM ids with SoftPWB room, in ascending order, and
-    ``distributor`` grants access to cursor-free machine state (core
-    count, idleness probe).  Policies own any selection state they need
-    (cursor, RNG) so a checkpointed machine deep-copies them along with
-    everything else.  Set ``requires_idleness`` when the policy needs
-    the distributor's idleness probe wired.
+    :meth:`select` is only called while some SM has SoftPWB room and reads
+    machine state from ``distributor`` (counters, :meth:`available`,
+    idleness probe).  Policies own their selection state (cursor, RNG) so
+    a checkpointed machine deep-copies it.  Set ``requires_idleness``
+    when the policy needs the distributor's idleness probe wired.
     """
 
     name = "?"
     requires_idleness = False
 
-    def select(self, available: list[int], distributor: "RequestDistributor") -> int:
+    def select(self, distributor: "RequestDistributor") -> int:
         raise NotImplementedError
 
 
@@ -49,11 +50,11 @@ class RoundRobinSelection(SelectionPolicy):
     def __init__(self) -> None:
         self._cursor = 0
 
-    def select(self, available: list[int], distributor: "RequestDistributor") -> int:
-        num_sms = distributor.num_sms
-        cursor = self._cursor
-        sm = min(available, key=lambda s: (s - cursor) % num_sms)
-        self._cursor = (sm + 1) % num_sms
+    def select(self, distributor: "RequestDistributor") -> int:
+        sm = self._cursor
+        while distributor._counters[sm] >= distributor.capacity:
+            sm = (sm + 1) % distributor.num_sms
+        self._cursor = (sm + 1) % distributor.num_sms
         return sm
 
 
@@ -65,8 +66,8 @@ class RandomSelection(SelectionPolicy):
     def __init__(self, *, seed: int = 97) -> None:
         self._rng = random.Random(seed)
 
-    def select(self, available: list[int], distributor: "RequestDistributor") -> int:
-        return self._rng.choice(available)
+    def select(self, distributor: "RequestDistributor") -> int:
+        return self._rng.choice(distributor.available())
 
 
 class StallAwareSelection(SelectionPolicy):
@@ -75,10 +76,10 @@ class StallAwareSelection(SelectionPolicy):
     name = DistributorPolicy.STALL_AWARE
     requires_idleness = True
 
-    def select(self, available: list[int], distributor: "RequestDistributor") -> int:
+    def select(self, distributor: "RequestDistributor") -> int:
         probe = distributor.idleness
         assert probe is not None
-        return min(available, key=probe)
+        return min(distributor.available(), key=probe)
 
 
 class RequestDistributor:
@@ -105,17 +106,15 @@ class RequestDistributor:
         self.num_sms = num_sms
         self.capacity = capacity_per_sm
         self.stats = stats
-        #: The live policy object; ``policy`` stays the name string for
-        #: introspection and anything that compared it historically.
         self.selection = policy
-        self.policy = policy.name
         self.idleness = idleness
-        self._idleness = idleness  # legacy alias
         self._trace = stats.obs.trace
         #: Simulation-time probe for trace timestamps; falls back to each
         #: request's enqueue time when the backend wires no clock.
         self._clock = clock
         self._counters = [0] * num_sms
+        #: Cores whose counter has reached ``capacity``.
+        self._full = 0 if capacity_per_sm > 0 else num_sms
         self._overflow: deque[WalkRequest] = deque()
         #: Wired by the backend: delivers a request to one SM's controller.
         self.dispatch: Callable[[int, WalkRequest], None] | None = None
@@ -123,14 +122,14 @@ class RequestDistributor:
     # ------------------------------------------------------------------
     # Selection (Figure 11, steps 1-3)
     # ------------------------------------------------------------------
-    def _available(self) -> list[int]:
-        return [sm for sm in range(self.num_sms) if self._counters[sm] < self.capacity]
+    def available(self) -> list[int]:
+        """SM ids with SoftPWB room, in ascending order."""
+        return [sm for sm, count in enumerate(self._counters) if count < self.capacity]
 
     def _select(self) -> int | None:
-        available = self._available()
-        if not available:
+        if self._full == self.num_sms:
             return None
-        return self.selection.select(available, self)
+        return self.selection.select(self)
 
     def _now(self, request: WalkRequest) -> int:
         return self._clock() if self._clock is not None else request.enqueue_time
@@ -159,6 +158,7 @@ class RequestDistributor:
         if self.dispatch is None:
             raise RuntimeError("RequestDistributor.dispatch not wired")
         self._counters[sm] += 1
+        self._full += self._counters[sm] == self.capacity
         self.stats.counters.add("distributor.dispatched")
         if self._trace.enabled:
             self._trace.instant(
@@ -177,11 +177,10 @@ class RequestDistributor:
     def complete(self, sm: int) -> None:
         if self._counters[sm] <= 0:
             raise ValueError(f"counter underflow for SM {sm}")
+        self._full -= self._counters[sm] == self.capacity
         self._counters[sm] -= 1
-        if self._overflow:
-            target = self._select()
-            if target is not None:
-                self._send(target, self._overflow.popleft())
+        if self._overflow:  # ``sm`` now has room, so a core is available
+            self._send(self.selection.select(self), self._overflow.popleft())
 
     # ------------------------------------------------------------------
     # Introspection

@@ -4,11 +4,16 @@ Section 4.4: each SM repurposes a slice of shared memory as a request
 buffer (96 bits per entry: 33-bit VPN, 31-bit node PFN, 2-bit level) and
 the SoftWalker Controller tracks entry state with a 2-bit-per-thread
 bitmap — invalid (no request), valid (ready), processing (walk running).
+
+Invariant: arrivals fill the lowest INVALID slot and PW-warp threads launch
+the lowest VALID slot (slot order, not arrival order).  Min-heaps of free
+and valid slot indices keep that order in O(log n); occupancy is O(1).
 """
 
 from __future__ import annotations
 
 import enum
+from heapq import heappop, heappush
 
 from repro.ptw.request import WalkRequest
 
@@ -33,28 +38,30 @@ class SoftPWB:
         self.capacity = entries
         self._slots: list[WalkRequest | None] = [None] * entries
         self._states: list[SlotState] = [SlotState.INVALID] * entries
+        #: Min-heaps of INVALID and VALID slot indices (ascending = heap).
+        self._free = list(range(entries))
+        self._valid: list[int] = []
 
     # ------------------------------------------------------------------
     # Controller-side operations (Figure 11, steps 4-6)
     # ------------------------------------------------------------------
     def insert(self, request: WalkRequest) -> int | None:
-        """Fill an invalid slot with a request; returns its index."""
-        for index, state in enumerate(self._states):
-            if state is SlotState.INVALID:
-                self._slots[index] = request
-                self._states[index] = SlotState.VALID
-                return index
-        return None
+        """Fill the lowest invalid slot with a request; returns its index."""
+        if not self._free:
+            return None
+        index = heappop(self._free)
+        self._slots[index] = request
+        self._states[index] = SlotState.VALID
+        heappush(self._valid, index)
+        return index
 
     def take_valid(self) -> tuple[int, WalkRequest] | None:
-        """Pick a valid entry and mark it processing (walk launch)."""
-        for index, state in enumerate(self._states):
-            if state is SlotState.VALID:
-                self._states[index] = SlotState.PROCESSING
-                request = self._slots[index]
-                assert request is not None
-                return index, request
-        return None
+        """Mark the lowest valid entry processing (walk launch)."""
+        if not self._valid:
+            return None
+        index = heappop(self._valid)
+        self._states[index] = SlotState.PROCESSING
+        return index, self._slots[index]
 
     def complete(self, index: int) -> None:
         """Walk finished: slot returns to invalid."""
@@ -62,6 +69,7 @@ class SoftPWB:
             raise ValueError(f"slot {index} is not processing")
         self._states[index] = SlotState.INVALID
         self._slots[index] = None
+        heappush(self._free, index)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -74,11 +82,11 @@ class SoftPWB:
 
     @property
     def occupied(self) -> int:
-        return self.capacity - self.count(SlotState.INVALID)
+        return self.capacity - len(self._free)
 
     @property
     def has_space(self) -> bool:
-        return self.count(SlotState.INVALID) > 0
+        return bool(self._free)
 
     def requests(self) -> list[WalkRequest]:
         """Every buffered request (valid or processing), slot order."""

@@ -78,7 +78,11 @@ class AddressLayout:
         return RADIX_BITS_PER_LEVEL
 
     def level_index(self, vpn: int, level: int) -> int:
-        """Radix index of ``vpn`` within the table at ``level``."""
+        """Radix index of ``vpn`` within the table at ``level``.
+
+        A checked helper: :class:`~repro.pagetable.radix.RadixPageTable`
+        precomputes the same split once instead of calling it per level.
+        """
         self._check_level(level)
         shift = RADIX_BITS_PER_LEVEL * (level - 1)
         return (vpn >> shift) & ((1 << self.level_bits(level)) - 1)

@@ -66,6 +66,18 @@ class RadixPageTable:
 
     def __init__(self, layout: AddressLayout, pt_allocator: FrameAllocator) -> None:
         self.layout = layout
+        #: ``(shift, mask)`` that cuts each level's radix index out of a
+        #: VPN, indexed by level (entry 0 unused); ``_upper`` holds the
+        #: non-leaf levels root first as ``(level, shift, mask)``, and the
+        #: leaf index is ``vpn & _leaf_mask``.
+        self._split = [(0, 0)] + [
+            (RADIX_BITS_PER_LEVEL * (level - 1), (1 << layout.level_bits(level)) - 1)
+            for level in range(1, layout.levels + 1)
+        ]
+        self._upper = [
+            (level, *self._split[level]) for level in range(layout.levels, 1, -1)
+        ]
+        self._leaf_mask = self._split[1][1]
         self._allocator = pt_allocator
         self._frame_cursor: int | None = None
         self._frame_used = 0
@@ -91,14 +103,14 @@ class RadixPageTable:
         if vpn > self.layout.max_vpn():
             raise ValueError(f"vpn {vpn:#x} exceeds {self.layout.vpn_bits}-bit space")
         node = self._root
-        for level in range(self.layout.levels, 1, -1):
-            index = self.layout.level_index(vpn, level)
+        for _level, shift, mask in self._upper:
+            index = (vpn >> shift) & mask
             child = node.children.get(index)
             if child is None:
                 child = self._new_node()
                 node.children[index] = child
             node = child
-        leaf_index = self.layout.level_index(vpn, 1)
+        leaf_index = vpn & self._leaf_mask
         if leaf_index not in node.leaves:
             self._mapped_pages += 1
         node.leaves[leaf_index] = pfn
@@ -109,13 +121,12 @@ class RadixPageTable:
     def translate(self, vpn: int) -> int:
         """Return the PFN for ``vpn`` or raise :class:`PageFault`."""
         node = self._root
-        for level in range(self.layout.levels, 1, -1):
-            index = self.layout.level_index(vpn, level)
-            child = node.children.get(index)
+        for level, shift, mask in self._upper:
+            child = node.children.get((vpn >> shift) & mask)
             if child is None:
                 raise PageFault(vpn, level)
             node = child
-        leaf_index = self.layout.level_index(vpn, 1)
+        leaf_index = vpn & self._leaf_mask
         if leaf_index not in node.leaves:
             raise PageFault(vpn, 1)
         return node.leaves[leaf_index]
@@ -134,12 +145,12 @@ class RadixPageTable:
         clearing one PTE.  Returns False when the page was not mapped.
         """
         node = self._root
-        for level in range(self.layout.levels, 1, -1):
-            child = node.children.get(self.layout.level_index(vpn, level))
+        for _level, shift, mask in self._upper:
+            child = node.children.get((vpn >> shift) & mask)
             if child is None:
                 return False
             node = child
-        leaf_index = self.layout.level_index(vpn, 1)
+        leaf_index = vpn & self._leaf_mask
         if leaf_index not in node.leaves:
             return False
         del node.leaves[leaf_index]
@@ -169,8 +180,10 @@ class RadixPageTable:
             )
             return steps
 
+        split = self._split
         for level in range(start_level, 1, -1):
-            index = self.layout.level_index(vpn, level)
+            shift, mask = split[level]
+            index = (vpn >> shift) & mask
             child = node.children.get(index)
             if child is None:
                 steps.append(WalkStep(level, node.pte_address(index), 0, False, valid=False))
@@ -178,7 +191,7 @@ class RadixPageTable:
             steps.append(WalkStep(level, node.pte_address(index), child.phys_base, False))
             node = child
 
-        leaf_index = self.layout.level_index(vpn, 1)
+        leaf_index = vpn & self._leaf_mask
         pfn = node.leaves.get(leaf_index)
         if pfn is None:
             steps.append(WalkStep(1, node.pte_address(leaf_index), 0, True, valid=False))
@@ -193,9 +206,10 @@ class RadixPageTable:
 
     def _node_at(self, vpn: int, level: int) -> _Node | None:
         node = self._root
+        split = self._split
         for lvl in range(self.layout.levels, level, -1):
-            index = self.layout.level_index(vpn, lvl)
-            node = node.children.get(index)
+            shift, mask = split[lvl]
+            node = node.children.get((vpn >> shift) & mask)
             if node is None:
                 return None
         return node

@@ -1,9 +1,10 @@
 """Golden-fingerprint regression tests.
 
 Pins :meth:`SimulationResult.fingerprint` for the three headline
-configurations (baseline, softwalker, hybrid) and three TLB variants
-(avatar, a coalesced L2 TLB, In-TLB MSHRs under hardware walkers) on
-two small workloads against stored golden files.  The machine is deterministic in its
+configurations (baseline, softwalker, hybrid), three TLB variants
+(avatar, a coalesced L2 TLB, In-TLB MSHRs under hardware walkers) and
+three SoftWalker dispatch variants (deep SoftPWB, lockstep PW warp,
+distributor overflow) on two small workloads against stored golden files.  The machine is deterministic in its
 inputs, so any drift here means a refactor changed simulated behavior —
 the registry-driven assembly (``repro.arch``) is contractually
 event-for-event identical to the hand-wired construction these goldens
@@ -34,7 +35,10 @@ SEED = 7
 #: configurations, plus the TLB paths whose replacement state differs
 #: from theirs: Avatar speculation filling the L1 TLB, a coalesced L2
 #: TLB (block entries), and In-TLB MSHR pending ways under hardware
-#: walkers.
+#: walkers.  The last three pin SoftWalker dispatch order: a SoftPWB
+#: deeper than the PW warp (which valid slot launches next), lockstep
+#: warp batches, and a distributor that overflows so the round-robin
+#: cursor decides every placement.
 CONFIGS = {
     "baseline": lambda: DEFAULT_CONFIGS.get("baseline"),
     "softwalker": lambda: DEFAULT_CONFIGS.get("softwalker"),
@@ -46,6 +50,15 @@ CONFIGS = {
     "baseline_in_tlb_mshr": lambda: DEFAULT_CONFIGS.get("baseline").derive(
         hw_in_tlb_mshr=True
     ),
+    "softwalker_deep_pwb": lambda: DEFAULT_CONFIGS.get("softwalker").with_softwalker(
+        pw_threads_per_sm=4, softpwb_entries=64
+    ),
+    "softwalker_lockstep": lambda: DEFAULT_CONFIGS.get("softwalker").with_softwalker(
+        simt_lockstep=True, pw_threads_per_sm=8, softpwb_entries=16
+    ),
+    "softwalker_rr_overflow": lambda: DEFAULT_CONFIGS.get(
+        "softwalker"
+    ).with_softwalker(pw_threads_per_sm=1, softpwb_entries=2),
 }
 CASES = [(config, bench) for config in CONFIGS for bench in ("dc", "spmv")]
 
